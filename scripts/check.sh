@@ -111,11 +111,11 @@ if [[ "${1:-}" == "--bench-only" ]]; then
   exit 0
 fi
 
-echo "== asan: chaos + trace + slo + fleet + shard + ingest + obs + flight + prof suites under ASan/UBSan =="
+echo "== asan: codec + chaos + trace + slo + fleet + shard + ingest + obs + flight + prof suites under ASan/UBSan =="
 cmake -B build-asan -S . -DASAN=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-      -L 'chaos|trace|slo|fleet|shard|ingest|obs|flight|prof'
+      -L 'codec|chaos|trace|slo|fleet|shard|ingest|obs|flight|prof'
 
 if [[ "${1:-}" == "--tsan" ]]; then
   echo "== tsan: shard + fleet + ingest + obs + flight + prof suites under ThreadSanitizer =="

@@ -1,5 +1,8 @@
 #include "core/platform.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <filesystem>
 
 #include "telemetry/telemetry.hpp"
@@ -13,11 +16,16 @@ OpenVdap::OpenVdap(sim::Simulator& sim, PlatformConfig config)
     : sim_(sim), config_(std::move(config)) {
   // --- storage --------------------------------------------------------------
   if (config_.ddi_dir.empty()) {
+    // Unique per process and per instance: parallel test processes and
+    // same-name platforms must never share (and wipe) each other's store.
+    static std::atomic<std::uint64_t> instances{0};
     ddi_dir_ = (fs::temp_directory_path() /
                 ("openvdap-" + config_.vehicle_name + "-" +
-                 std::to_string(sim_.seed())))
+                 std::to_string(sim_.seed()) + "-" +
+                 std::to_string(::getpid()) + "-" +
+                 std::to_string(instances.fetch_add(1))))
                    .string();
-    fs::remove_all(ddi_dir_);
+    fs::remove_all(ddi_dir_);  // a stale store from a recycled pid
     owns_ddi_dir_ = true;
   } else {
     ddi_dir_ = config_.ddi_dir;

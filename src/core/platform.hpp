@@ -21,7 +21,8 @@ namespace vdap::core {
 struct PlatformConfig {
   std::string vehicle_name = "cav-0";
   std::uint64_t vehicle_secret = 0xC0FFEE;
-  /// DDI disk directory; empty = a fresh directory under the system temp.
+  /// DDI disk directory; empty = a fresh directory under the system temp,
+  /// unique per process and instance, removed with the platform.
   std::string ddi_dir;
   /// Populate the reference 1stHEP (CPU+GPU+FPGA+ASIC); otherwise the
   /// caller adds processors to board() and joins them manually.
@@ -83,6 +84,8 @@ class OpenVdap {
 
   const PlatformConfig& config() const { return config_; }
   const std::string& name() const { return config_.vehicle_name; }
+  /// The DDI disk directory in use (config().ddi_dir or the owned one).
+  const std::string& ddi_dir() const { return ddi_dir_; }
 
  private:
   sim::Simulator& sim_;

@@ -303,25 +303,27 @@ util::Histogram ColumnarSeries::sketch(sim::SimTime from,
 std::optional<std::pair<sim::SimTime, double>> ColumnarSeries::last_at_or_before(
     sim::SimTime t) const {
   std::optional<std::pair<sim::SimTime, double>> best;
-  // Later-appended samples win timestamp ties (>=): "the last thing the
-  // vehicle reported at or before t".
-  auto consider = [&best, t](sim::SimTime at, double v) {
-    if (at > t) return;
-    if (!best.has_value() || at >= best->first) best = {at, v};
-  };
-  ColumnData scratch;
-  for (const Sealed& s : sealed_) {
-    if (s.min_time > t) continue;
-    // Blocks strictly older than the current best cannot improve it;
-    // equal-time blocks must still be scanned for the tie rule above.
-    if (best.has_value() && s.max_time < best->first) continue;
-    if (!columnar_decode(s.bytes, &scratch)) continue;
-    for (std::size_t i = 0; i < scratch.size(); ++i) {
-      consider(scratch.times[i], scratch.values[i]);
+  // Newest first — the active block, then sealed blocks newest to oldest,
+  // each back to front — so a timestamp tie is won by the sample appended
+  // last ("the last thing the vehicle reported at or before t") simply by
+  // replacing only on a strictly later time.
+  auto scan = [&best, t](const ColumnData& c) {
+    for (std::size_t i = c.size(); i-- > 0;) {
+      const sim::SimTime at = c.times[i];
+      if (at <= t && (!best.has_value() || at > best->first)) {
+        best = {at, c.values[i]};
+      }
     }
-  }
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    consider(active_.times[i], active_.values[i]);
+  };
+  scan(active_);
+  ColumnData scratch;
+  for (auto it = sealed_.rbegin(); it != sealed_.rend(); ++it) {
+    // Skip blocks wholly after t, and blocks that cannot hold a sample
+    // strictly later than the current best.
+    if (it->min_time > t) continue;
+    if (best.has_value() && it->max_time <= best->first) continue;
+    if (!columnar_decode(it->bytes, &scratch)) continue;
+    scan(scratch);
   }
   return best;
 }

@@ -161,7 +161,9 @@ class ColumnarSeries {
   /// merged oldest-block-first (deterministic thinning order).
   util::Histogram sketch(sim::SimTime from, sim::SimTime to) const;
 
-  /// Latest sample at or before `t` (the location-lookup primitive).
+  /// Latest sample at or before `t` (the location-lookup primitive); on a
+  /// timestamp tie the later-appended sample wins. Scans newest first and
+  /// decodes no sealed block that cannot hold a later sample.
   std::optional<std::pair<sim::SimTime, double>> last_at_or_before(
       sim::SimTime t) const;
 

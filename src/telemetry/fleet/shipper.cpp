@@ -29,13 +29,13 @@ net::LinkSpec shipping_spec(const net::Topology& topo, net::Tier tier,
 TelemetryShipper::TelemetryShipper(sim::Simulator& sim, std::string vehicle,
                                    net::Topology& topo, DeliverFn deliver,
                                    Options options)
-    : sim_(sim), vehicle_(std::move(vehicle)), topo_(topo),
-      deliver_(std::move(deliver)), opts_(options) {
+    : sim_(sim), vehicle_(std::move(vehicle)), link_name_("ship/" + vehicle_),
+      topo_(topo), deliver_(std::move(deliver)), opts_(options) {
   opts_.max_queue = std::max<std::size_t>(opts_.max_queue, 1);
   opts_.max_attempts = std::max(opts_.max_attempts, 1);
   opts_.flush_period = std::max<sim::SimDuration>(opts_.flush_period, 1);
   link_ = std::make_unique<net::Link>(
-      sim_, shipping_spec(topo_, opts_.tier, "ship/" + vehicle_));
+      sim_, shipping_spec(topo_, opts_.tier, link_name_));
 }
 
 TelemetryShipper::~TelemetryShipper() {
@@ -146,7 +146,8 @@ void TelemetryShipper::attempt() {
     settle(false);
     return;
   }
-  link_->set_spec(shipping_spec(topo_, opts_.tier, "ship/" + vehicle_));
+  // Re-read every attempt: faults change the topology between attempts.
+  link_->set_spec(shipping_spec(topo_, opts_.tier, link_name_));
   const std::uint64_t bytes = inflight_->bytes.size();
   stats_.wire_bytes += bytes;
   mirror_count("fleet.shipper.wire_bytes", static_cast<std::int64_t>(bytes));

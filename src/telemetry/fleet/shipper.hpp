@@ -126,6 +126,7 @@ class TelemetryShipper {
 
   sim::Simulator& sim_;
   std::string vehicle_;
+  std::string link_name_;  // "ship/<vehicle>", built once
   net::Topology& topo_;
   DeliverFn deliver_;
   Options opts_;

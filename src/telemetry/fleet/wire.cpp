@@ -84,48 +84,98 @@ bool decode_events(const json::Value& v, WireFrame& out, std::string* error) {
 }  // namespace
 
 std::string wire_encode(const WireFrame& frame) {
-  json::Object obj;
-  obj["v"] = frame.vehicle;
-  obj["seq"] = static_cast<std::int64_t>(frame.seq);
-  obj["t"] = frame.created;
+  // Direct appends of the bytes json::Value::dump() writes for the frame
+  // as an object tree: compact, keys sorted at every level (the frame's
+  // maps iterate in that order; literal keys are written in it), empty
+  // sections omitted, and "v" last for wire_peek_vehicle.
+  std::string out = "{";
   if (!frame.counters.empty()) {
-    json::Object counters;
-    for (const auto& [name, v] : frame.counters) counters[name] = v;
-    obj["counters"] = std::move(counters);
-  }
-  if (!frame.gauges.empty()) {
-    json::Object gauges;
-    for (const auto& [name, v] : frame.gauges) gauges[name] = v;
-    obj["gauges"] = std::move(gauges);
-  }
-  if (!frame.samples.empty()) {
-    json::Object samples;
-    for (const auto& [name, vec] : frame.samples) {
-      json::Array arr;
-      arr.reserve(vec.size());
-      for (const WireSample& s : vec) {
-        arr.push_back(json::Array{json::Value(s.first), json::Value(s.second)});
-      }
-      samples[name] = std::move(arr);
+    out += "\"counters\":";
+    char sep = '{';
+    for (const auto& [name, v] : frame.counters) {
+      out.push_back(sep);
+      sep = ',';
+      json::append_escaped(out, name);
+      out.push_back(':');
+      out += std::to_string(v);
     }
-    obj["samples"] = std::move(samples);
+    out += "},";
   }
   if (!frame.events.empty()) {
-    json::Array events;
+    out += "\"events\":";
+    char sep = '[';
     for (const WireHealthEvent& ev : frame.events) {
-      json::Object e;
-      e["at"] = ev.at;
-      e["kind"] = ev.kind;
-      e["severity"] = ev.severity;
-      e["service"] = ev.service;
-      e["observed"] = ev.observed;
-      e["target"] = ev.target;
-      if (!ev.implicated_tier.empty()) e["tier"] = ev.implicated_tier;
-      events.push_back(std::move(e));
+      out.push_back(sep);
+      sep = ',';
+      out += "{\"at\":";
+      out += std::to_string(ev.at);
+      out += ",\"kind\":";
+      json::append_escaped(out, ev.kind);
+      out += ",\"observed\":";
+      json::append_double(out, ev.observed);
+      out += ",\"service\":";
+      json::append_escaped(out, ev.service);
+      out += ",\"severity\":";
+      json::append_escaped(out, ev.severity);
+      out += ",\"target\":";
+      json::append_double(out, ev.target);
+      if (!ev.implicated_tier.empty()) {
+        out += ",\"tier\":";
+        json::append_escaped(out, ev.implicated_tier);
+      }
+      out.push_back('}');
     }
-    obj["events"] = std::move(events);
+    out += "],";
   }
-  return json::Value(std::move(obj)).dump();
+  if (!frame.gauges.empty()) {
+    out += "\"gauges\":";
+    char sep = '{';
+    for (const auto& [name, v] : frame.gauges) {
+      out.push_back(sep);
+      sep = ',';
+      json::append_escaped(out, name);
+      out.push_back(':');
+      json::append_double(out, v);
+    }
+    out += "},";
+  }
+  if (!frame.samples.empty()) {
+    out += "\"samples\":";
+    char sep = '{';
+    for (const auto& [name, vec] : frame.samples) {
+      out.push_back(sep);
+      sep = ',';
+      json::append_escaped(out, name);
+      out.push_back(':');
+      if (vec.empty()) {
+        out += "[]";
+        continue;
+      }
+      char inner = '[';
+      for (const WireSample& s : vec) {
+        out.push_back(inner);
+        inner = ',';
+        out.push_back('[');
+        out += std::to_string(s.first);
+        out.push_back(',');
+        json::append_double(out, s.second);
+        out.push_back(']');
+      }
+      out.push_back(']');
+    }
+    out += "},";
+  }
+  out += "\"seq\":";
+  out += std::to_string(static_cast<std::int64_t>(frame.seq));
+  out += ",\"t\":";
+  out += std::to_string(frame.created);
+  out += ",\"v\":";
+  json::append_escaped(out, frame.vehicle);
+  out.push_back('}');
+  // Frames wait in queues and batches; growth by doubling leaves up to
+  // half of the buffer unused, so hand back an exact-size string.
+  out.shrink_to_fit();
+  return out;
 }
 
 std::optional<WireFrame> wire_decode(std::string_view line,

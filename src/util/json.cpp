@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 namespace vdap::json {
@@ -135,6 +136,11 @@ unsigned decode_utf8(std::string_view s, std::size_t& i) {
 std::string escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
+  append_escaped(out, s);
+  return out;
+}
+
+void append_escaped(std::string& out, std::string_view s) {
   out.push_back('"');
   for (std::size_t i = 0; i < s.size();) {
     char c = s[i];
@@ -171,31 +177,49 @@ std::string escape(std::string_view s) {
     }
   }
   out.push_back('"');
-  return out;
 }
 
 namespace {
 
-void format_double(std::string& out, double d) {
+/// Reads the longest number prefix of [first, last) as strtod would.
+/// from_chars agrees with strtod wherever it succeeds (both round
+/// correctly); the tokens it rejects — a leading '+', overflow,
+/// underflow to zero — take the strtod path so they keep its value.
+double read_double(const char* first, const char* last) {
+  double d = 0.0;
+  if (std::from_chars(first, last, d).ec == std::errc()) return d;
+  return std::strtod(std::string(first, last).c_str(), nullptr);
+}
+
+}  // namespace
+
+void append_double(std::string& out, double d) {
   if (std::isnan(d) || std::isinf(d)) {
     // JSON has no NaN/Inf; emit null (matches common lenient serializers).
     out += "null";
     return;
   }
+  // The shortest round-trip form has `digits` significant digits, so no
+  // `%.<P>g` with fewer can read back as d: start the search there.
+  // to_chars(general, P) is specified as printf's `%.<P>g`.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  // Trim to the shortest representation that round-trips.
-  for (int prec = 1; prec < 17; ++prec) {
-    char probe[32];
-    std::snprintf(probe, sizeof(probe), "%.*g", prec, d);
-    double back = std::strtod(probe, nullptr);
-    if (back == d) {
-      out += probe;
-      return;
-    }
+  const char* end =
+      std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::scientific)
+          .ptr;
+  int digits = 0;
+  for (const char* p = buf; p != end && *p != 'e'; ++p) {
+    if (*p >= '0' && *p <= '9') ++digits;
   }
-  out += buf;
+  for (int prec = digits; prec <= 17; ++prec) {
+    end = std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general,
+                        prec)
+              .ptr;
+    if (prec == 17 || read_double(buf, end) == d) break;
+  }
+  out.append(static_cast<const char*>(buf), end);
 }
+
+namespace {
 
 void dump_impl(const Value& v, std::string& out, int indent, int depth) {
   auto newline = [&](int d) {
@@ -207,8 +231,8 @@ void dump_impl(const Value& v, std::string& out, int indent, int depth) {
     case Type::Null: out += "null"; break;
     case Type::Bool: out += v.as_bool() ? "true" : "false"; break;
     case Type::Int: out += std::to_string(v.as_int()); break;
-    case Type::Double: format_double(out, v.as_double()); break;
-    case Type::String: out += escape(v.as_string()); break;
+    case Type::Double: append_double(out, v.as_double()); break;
+    case Type::String: append_escaped(out, v.as_string()); break;
     case Type::Array: {
       const Array& a = v.as_array();
       if (a.empty()) {
@@ -239,7 +263,7 @@ void dump_impl(const Value& v, std::string& out, int indent, int depth) {
         if (!first) out.push_back(',');
         first = false;
         newline(depth + 1);
-        out += escape(k);
+        append_escaped(out, k);
         out.push_back(':');
         if (indent >= 0) out.push_back(' ');
         dump_impl(e, out, indent, depth + 1);
@@ -431,8 +455,7 @@ class Parser {
       auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), i);
       if (ec == std::errc() && p == tok.data() + tok.size()) return Value(i);
     }
-    double d = std::strtod(std::string(tok).c_str(), nullptr);
-    return Value(d);
+    return Value(read_double(tok.data(), tok.data() + tok.size()));
   }
 
   std::string_view text_;

@@ -123,4 +123,12 @@ std::optional<Value> try_parse(std::string_view text);
 /// Escapes a string for embedding into JSON output (adds quotes).
 std::string escape(std::string_view s);
 
+/// Appends escape(s) to `out` without a temporary string.
+void append_escaped(std::string& out, std::string_view s);
+
+/// Appends the serialized form of `d` to `out`, exactly as Value(d).dump()
+/// writes it: the shortest `%.<P>g` (P = 1..16) that reads back as `d`,
+/// else `%.17g`; NaN and infinities become `null`.
+void append_double(std::string& out, double d);
+
 }  // namespace vdap::json

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 namespace vdap::core {
 namespace {
 
@@ -99,6 +101,34 @@ TEST(Platform, CollectorsFillDdi) {
   auto resp =
       cav.ddi().download_now({"vehicle/obd", 0, sim::seconds(30)});
   EXPECT_GT(resp.records.size(), 250u);  // ~10 Hz for 30 s
+}
+
+TEST(Platform, SameNameAndSeedGetDistinctStores) {
+  // Two live platforms with the default name and the same seed: each owns
+  // its own DDI store, and neither construction nor destruction of one
+  // touches the other's data.
+  sim::Simulator sim_a(42), sim_b(42);
+  PlatformConfig cfg;
+  cfg.start_collectors = true;
+  OpenVdap a(sim_a, cfg);
+  sim_a.run_until(sim::seconds(30));
+  a.ddi().flush_staged(/*force_all=*/true);
+  const std::string dir_a = a.ddi_dir();
+  {
+    OpenVdap b(sim_b, cfg);
+    EXPECT_NE(b.ddi_dir(), dir_a);
+    sim_b.run_until(sim::seconds(30));
+    b.ddi().flush_staged(/*force_all=*/true);
+    EXPECT_FALSE(std::filesystem::is_empty(b.ddi_dir()));
+    EXPECT_GT(b.ddi().download_now({"vehicle/obd", 0, sim::seconds(30)})
+                  .records.size(),
+              250u);
+  }
+  ASSERT_TRUE(std::filesystem::exists(dir_a));
+  EXPECT_FALSE(std::filesystem::is_empty(dir_a));
+  EXPECT_GT(
+      a.ddi().download_now({"vehicle/obd", 0, sim::seconds(30)}).records.size(),
+      250u);
 }
 
 TEST(Platform, ScenarioDrivesOffloadDecisions) {

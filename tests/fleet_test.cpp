@@ -6,11 +6,15 @@
 // exact under shipping-network impairment.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <iterator>
+#include <random>
 #include <set>
 
 #include "core/fleet.hpp"
 #include "net/impair.hpp"
+#include "oracles/wire_encode.hpp"
 #include "telemetry/fleet/aggregator.hpp"
 #include "telemetry/fleet/shipper.hpp"
 #include "telemetry/fleet/tsdb.hpp"
@@ -26,6 +30,8 @@ using telemetry::fleet::WireFrame;
 using telemetry::fleet::WireHealthEvent;
 using telemetry::fleet::wire_decode;
 using telemetry::fleet::wire_encode;
+using telemetry::fleet::wire_peek_vehicle;
+using telemetry::fleet::WireSample;
 
 // --- time-series store ------------------------------------------------------
 
@@ -185,6 +191,79 @@ TEST(Wire, MalformedInputsAreCleanErrors) {
     EXPECT_FALSE(f.has_value()) << line;
     EXPECT_FALSE(error.empty()) << line;
   }
+}
+
+TEST(Wire, EncodeMatchesObjectTreeOracle) {
+  // Names mix JSON specials, control bytes, BMP and astral UTF-8 and
+  // invalid bytes (which escape to U+FFFD, so two raw names can print the
+  // same); doubles mix wire-shaped latencies, raw bit patterns (NaN and
+  // infinities included) and integers; times and seqs span their types.
+  const std::string pieces[] = {"svc",  ".",   "latency_ms", "\"", "\\",
+                                "\n",   "\x01", "\x1f",       "\xc3\xa9",
+                                "\xe2\x82\xac", "\xf0\x9f\x9a\x97", "\xff",
+                                "\xc3", "/",   "\\u00e9-literal"};
+  std::mt19937_64 rng(0xC0DEC);
+  auto name = [&] {
+    std::string n;
+    const std::size_t parts = rng() % 4;
+    for (std::size_t k = 0; k < parts; ++k) n += pieces[rng() % std::size(pieces)];
+    return n;
+  };
+  std::normal_distribution<double> latency(25.0, 8.0);
+  auto number = [&]() -> double {
+    switch (rng() % 3) {
+      case 0: return latency(rng);
+      case 1: return std::bit_cast<double>(static_cast<std::uint64_t>(rng()));
+      default: return static_cast<double>(static_cast<std::int64_t>(rng() % 2001) - 1000);
+    }
+  };
+  auto time = [&]() -> sim::SimTime {
+    return rng() % 8 == 0 ? static_cast<sim::SimTime>(rng())
+                          : static_cast<sim::SimTime>(rng() % 100'000'000);
+  };
+  for (int i = 0; i < 4000; ++i) {
+    WireFrame f;
+    f.vehicle = rng() % 4 == 0 ? name() : "cav-" + std::to_string(i);
+    f.seq = rng() % 8 == 0 ? static_cast<std::uint64_t>(rng()) : 1 + rng() % 1000;
+    f.created = time();
+    // Every combination of empty sections, cycled.
+    const unsigned sections = static_cast<unsigned>(i) % 16;
+    if (sections & 1u) {
+      for (std::size_t k = 1 + rng() % 3; k > 0; --k) {
+        f.counters[name()] = static_cast<std::int64_t>(rng());
+      }
+    }
+    if (sections & 2u) {
+      for (std::size_t k = 1 + rng() % 3; k > 0; --k) f.gauges[name()] = number();
+    }
+    if (sections & 4u) {
+      for (std::size_t k = 1 + rng() % 3; k > 0; --k) {
+        std::vector<WireSample>& vec = f.samples[name()];  // may stay empty
+        for (std::size_t j = rng() % 10; j > 0; --j) vec.emplace_back(time(), number());
+      }
+    }
+    if (sections & 8u) {
+      for (std::size_t k = 1 + rng() % 3; k > 0; --k) {
+        WireHealthEvent ev;
+        ev.at = time();
+        ev.kind = name();
+        ev.severity = name();
+        ev.service = name();
+        ev.observed = number();
+        ev.target = number();
+        if (rng() % 2 == 0) ev.implicated_tier = name();
+        f.events.push_back(std::move(ev));
+      }
+    }
+    const std::string line = wire_encode(f);
+    ASSERT_EQ(line, oracle::wire_encode(f)) << "frame " << i;
+    // "v" stays the last key: the peek finds the escaped name.
+    const std::string escaped = json::escape(f.vehicle);
+    EXPECT_EQ(wire_peek_vehicle(line),
+              std::string_view(escaped).substr(1, escaped.size() - 2))
+        << "frame " << i;
+  }
+  EXPECT_EQ(wire_encode(sample_frame()), oracle::wire_encode(sample_frame()));
 }
 
 // --- aggregator -------------------------------------------------------------

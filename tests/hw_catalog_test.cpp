@@ -4,6 +4,7 @@
 #include "hw/catalog.hpp"
 
 #include <gtest/gtest.h>
+#include <ostream>
 
 #include "hw/board.hpp"
 
@@ -21,6 +22,11 @@ struct Fig3Case {
   double paper_ms;
   double paper_power_w;
 };
+
+// Names each case by its device. Without a printer gtest hex-dumps the
+// struct, whose first field is a pointer, so the discovered test names would
+// change with address-space layout randomisation.
+void PrintTo(const Fig3Case& c, std::ostream* os) { *os << c.device; }
 
 class Fig3Calibration : public ::testing::TestWithParam<Fig3Case> {};
 

@@ -26,6 +26,7 @@
 #include <string_view>
 #include <vector>
 
+#include "oracles/last_at_or_before.hpp"
 #include "telemetry/fleet/aggregator.hpp"
 #include "telemetry/fleet/columnar.hpp"
 #include "telemetry/fleet/ingest.hpp"
@@ -567,6 +568,39 @@ TEST(ColumnarSeries, LastAtOrBeforePrefersLaterAppendedOnTies) {
   fix = sealed.last_at_or_before(sim::seconds(10));
   ASSERT_TRUE(fix.has_value());
   EXPECT_EQ(fix->second, 3.0);
+}
+
+TEST(ColumnarSeries, LastAtOrBeforeMatchesOldestFirstScanOracle) {
+  // Randomized equivalence against the oldest-first scan: few distinct
+  // timestamps (ties within and across block boundaries), out-of-order
+  // appends, small blocks and block budgets (evictions), pooled or not.
+  std::mt19937_64 rng(0x1a57a7);
+  for (int round = 0; round < 200; ++round) {
+    ColumnarSeries::Options opts;
+    opts.block_samples = 2 + rng() % 7;
+    opts.max_blocks = 1 + rng() % 6;
+    BlockPool pool;
+    ColumnarSeries series(opts);
+    const bool pooled = rng() % 2 == 0;
+    const sim::SimTime span = 1 + static_cast<sim::SimTime>(rng() % 40);
+    std::vector<oracle::TimedValue> appended;
+    const int n = 1 + static_cast<int>(rng() % 120);
+    for (int i = 0; i < n; ++i) {
+      const sim::SimTime at = static_cast<sim::SimTime>(rng() % span);
+      series.append(at, static_cast<double>(i), pooled ? &pool : nullptr);
+      appended.emplace_back(at, static_cast<double>(i));
+      // The oracle rebuilds the block layout from the append log.
+      ASSERT_EQ(series.sealed_blocks() + series.evicted_blocks(),
+                appended.size() / series.options().block_samples);
+      for (sim::SimTime t = -1; t <= span; ++t) {
+        EXPECT_EQ(series.last_at_or_before(t),
+                  oracle::last_at_or_before(appended,
+                                            series.options().block_samples,
+                                            series.evicted_blocks(), t))
+            << "round " << round << " append " << i << " t " << t;
+      }
+    }
+  }
 }
 
 TEST(ColumnarStore, PoolRecyclesBlockMemoryAcrossSeals) {

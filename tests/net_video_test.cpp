@@ -1,6 +1,7 @@
 #include "net/video.hpp"
 
 #include <gtest/gtest.h>
+#include <ostream>
 
 namespace vdap::net {
 namespace {
@@ -124,6 +125,13 @@ struct Fig2Band {
   double packet_lo, packet_hi;
   double frame_lo, frame_hi;
 };
+
+// Names each case by its cell (e.g. "35mph-1080p"). Without a printer gtest
+// hex-dumps the struct, padding bytes included, so the discovered test names
+// would change from one build to the next.
+void PrintTo(const Fig2Band& b, std::ostream* os) {
+  *os << b.mph << "mph-" << (b.hd1080 ? "1080p" : "720p");
+}
 
 class Fig2Bands : public ::testing::TestWithParam<Fig2Band> {};
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/fleet_scale.hpp"
+#include "sim/sharded.hpp"
 #include "telemetry/prof/profiler.hpp"
 #include "telemetry/prof/report.hpp"
 #include "telemetry/telemetry.hpp"
@@ -362,6 +363,30 @@ core::FleetScaleConfig prof_sweep_config(int shards, int threads, bool prof) {
   cfg.ingest_backend = true;  // cover the decode/detect PROF_SCOPE sites
   cfg.prof = prof;
   cfg.prof_opts.interval_us = 200;  // oversample so short runs still fold
+  if (prof) {
+    // A fast run can finish before the sampler's first tick, so make "the
+    // profile materialized" true by construction: before the first epoch,
+    // hold a scope open on the coordinator slot until a whole sampler
+    // tick has passed over it. Nothing runs on the sim plane meanwhile.
+    cfg.prepare = [](sim::ShardedSimulator& ssim) {
+      Profiler* profiler = ssim.prof();
+      ASSERT_NE(profiler, nullptr);
+      ProfSlot* prev = bind_prof(profiler->slot(
+          static_cast<std::size_t>(ssim.shards())));
+      {
+        PROF_SCOPE("test/prepare");
+        // The tick after the next one started after this scope opened.
+        const std::uint64_t ticks = profiler->samples() + 2;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (profiler->samples() < ticks &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+      }
+      bind_prof(prev);
+    };
+  }
   return cfg;
 }
 

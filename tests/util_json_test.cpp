@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <string>
+
+#include "oracles/json_number.hpp"
+
 namespace vdap::json {
 namespace {
 
@@ -160,6 +170,115 @@ TEST(JsonParse, DoubleRoundTripPrecision) {
   for (double d : values) {
     Value v(d);
     EXPECT_DOUBLE_EQ(parse(v.dump()).as_double(), d) << d;
+  }
+}
+
+// --- byte identity with the pre-to_chars codec (tests/oracles) ------------
+
+std::string appended(double d) {
+  std::string out;
+  append_double(out, d);
+  return out;
+}
+
+TEST(JsonDouble, MatchesProbeLoopOnRandomBitPatterns) {
+  std::mt19937_64 rng(20181018);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double d = std::bit_cast<double>(rng());
+    ASSERT_EQ(appended(d), oracle::format_double(d))
+        << std::bit_cast<std::uint64_t>(d);
+  }
+}
+
+TEST(JsonDouble, MatchesProbeLoopAroundEveryPowerOfTwo) {
+  // The shortest round-trip digits are hardest next to powers of two,
+  // where the spacing of doubles halves: every double within 64 ulp of
+  // 2^e, for every e from the least subnormal to the top exponent.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    double d = p;
+    for (int k = 0; k < 64; ++k) d = std::nextafter(d, -INFINITY);
+    for (int k = 0; k <= 128; ++k) {
+      ASSERT_EQ(appended(d), oracle::format_double(d)) << "2^" << e << " k=" << k;
+      d = std::nextafter(d, INFINITY);
+    }
+  }
+}
+
+TEST(JsonDouble, MatchesProbeLoopOnSpecialAndSampleValues) {
+  const double specials[] = {
+      0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), 2.2250738585072009e-308,
+      DBL_MIN, DBL_MAX, -DBL_MAX, DBL_EPSILON, 1e16, 1e17, 1e21, 1e22, 1e23,
+      9007199254740993.0, 0.1, 1.0 / 3.0, 1e-9, 123456789.123456789, -2.5e300,
+      7.1202363472230444e-307, 1.5, 100.0, 12.5, 25.0,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  for (double d : specials) {
+    EXPECT_EQ(appended(d), oracle::format_double(d)) << d;
+    EXPECT_EQ(Value(d).dump(), oracle::format_double(d)) << d;
+  }
+  EXPECT_EQ(appended(-0.0), "-0");
+  EXPECT_EQ(appended(std::nan("")), "null");
+  // Every subnormal exponent, with random mantissas.
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 100'000; ++i) {
+    const double d = std::bit_cast<double>(rng() & 0x800FFFFFFFFFFFFFull);
+    ASSERT_EQ(appended(d), oracle::format_double(d)) << d;
+  }
+  // The wire's own shape: latency samples drawn from N(25, 8).
+  std::normal_distribution<double> latency(25.0, 8.0);
+  for (int i = 0; i < 200'000; ++i) {
+    const double d = latency(rng);
+    ASSERT_EQ(appended(d), oracle::format_double(d)) << d;
+  }
+}
+
+::testing::AssertionResult same_number(const Value& got, const Value& want) {
+  if (got.type() != want.type()) {
+    return ::testing::AssertionFailure() << "type " << static_cast<int>(got.type())
+                                         << " vs " << static_cast<int>(want.type());
+  }
+  if (got.is_int() ? got.as_int() == want.as_int()
+                   : std::bit_cast<std::uint64_t>(got.as_double()) ==
+                         std::bit_cast<std::uint64_t>(want.as_double())) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << got.dump() << " vs " << want.dump();
+}
+
+TEST(JsonParse, NumberTokensReadAsStrtodDid) {
+  const char* tokens[] = {"+5",     "-+5",      "-.5",  "1e",   "1e+",
+                          "1e999",  "-1e999",   "1e-400", "4.9e-324",
+                          "1.2.3",  "-0",       "-0.0", "0",    "00012",
+                          "2e-324", "2.5e-324", "1e308", "1.7976931348623159e308",
+                          "99999999999999999999", "-9223372036854775808",
+                          "9223372036854775808", "--5", "5-", ".", "e5", "1E5",
+                          "0.30000000000000004", "123456789012345678901234567890"};
+  for (const char* tok : tokens) {
+    std::optional<Value> got = try_parse(tok);
+    ASSERT_TRUE(got.has_value()) << tok;
+    EXPECT_TRUE(same_number(*got, oracle::parse_number(tok))) << tok;
+  }
+  EXPECT_TRUE(std::isinf(parse("1e999").as_double()));
+  EXPECT_EQ(parse("1e-400").as_double(), 0.0);
+  EXPECT_EQ(parse("+5").as_double(), 5.0);
+  EXPECT_EQ(parse("-+5").as_double(), 0.0);
+  EXPECT_EQ(parse("1.2.3").as_double(), 1.2);
+  EXPECT_TRUE(parse("-0").is_int());
+  // Token soup over the number alphabet: every token the parser accepts
+  // reads to the same value as before.
+  std::mt19937_64 rng(99);
+  const std::string alphabet = "0123456789.eE+-";
+  for (int i = 0; i < 200'000; ++i) {
+    std::string tok;
+    const std::size_t len = 1 + rng() % 14;
+    for (std::size_t k = 0; k < len; ++k) tok += alphabet[rng() % alphabet.size()];
+    if (tok == "-") continue;  // rejected as before: not a number
+    std::optional<Value> got = try_parse(tok);
+    ASSERT_TRUE(got.has_value()) << tok;
+    ASSERT_TRUE(same_number(*got, oracle::parse_number(tok))) << tok;
   }
 }
 
